@@ -31,6 +31,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis.perfbench import (  # noqa: E402
     check_kk_floor,
     check_regression,
+    check_solve_floor,
     load_bench_file,
     records_to_json,
     run_bench,
@@ -38,6 +39,7 @@ from repro.analysis.perfbench import (  # noqa: E402
     run_kk_kernel_bench,
     run_merge_bench,
     run_shipping_bench,
+    run_solve_floor,
     run_trace_overhead,
     run_transport_bench,
     speedup_table,
@@ -124,6 +126,14 @@ def main(argv=None) -> int:
         "falls below the committed scalar seed baseline (CI smoke gate "
         "for the vectorized kernel; implies --no-write)",
     )
+    parser.add_argument(
+        "--check-solve-floor",
+        action="store_true",
+        help="time load->validate->stream_of->kk->verify at 250k edges, "
+        "columnar against the kept tuple reference pipeline (best of two "
+        "runs each); exit 1 unless the columnar solve is >=2x faster with "
+        "identical covers (CI gate; implies --no-write)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -155,6 +165,26 @@ def main(argv=None) -> int:
         if failures:
             return 1
         print("ok: kk throughput clears the scalar seed-baseline floor")
+        return 0
+
+    if args.check_solve_floor:
+        columnar, reference, mismatches = run_solve_floor(
+            seed=args.seed, progress=progress
+        )
+        for record in (columnar, reference):
+            stages = "  ".join(
+                f"{stage} {ms:7.1f}ms" for stage, ms in record.stage_ms.items()
+            )
+            print(f"{record.pipeline:<16} {record.seconds:6.3f}s  {stages}")
+        failures = check_solve_floor(columnar, reference, mismatches)
+        for failure in failures:
+            print(f"REGRESSION: {failure}")
+        if failures:
+            return 1
+        print(
+            f"ok: columnar solve x{reference.seconds / columnar.seconds:.1f} "
+            "the tuple reference, identical covers"
+        )
         return 0
 
     if args.kk_kernel or args.shipping:

@@ -18,23 +18,28 @@ from the command line.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import platform
 import resource
+import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.algorithms import make_algorithm
 from repro.core.adversarial import LowSpaceAdversarialAlgorithm
 from repro.core.base import StreamingSetCoverAlgorithm
 from repro.core.kk import KKAlgorithm, KKReferenceAlgorithm
 from repro.core.random_order import RandomOrderAlgorithm
 from repro.generators.random_instances import fixed_size_instance
 from repro.obs.tracer import RecordingTracer
-from repro.streaming.orders import RandomOrder
-from repro.streaming.stream import ReplayableStream
+from repro.streaming.io import dump_instance, load_instance
+from repro.streaming.orders import RandomOrder, make_order
+from repro.streaming.reference import load_instance_reference, reference_stream_of
+from repro.streaming.stream import ReplayableStream, stream_of
 
 #: Benchmark tiers: label -> list of (config_name, n, m, set_size).
 #: Stream length is m * set_size edges (fixed-size sets, all distinct).
@@ -792,6 +797,103 @@ def check_kk_floor(
                 f"below the scalar seed-baseline floor of {floor:,.0f} "
                 "edges/s — the vectorized kernel has regressed"
             )
+    return failures
+
+
+#: Instance of the solve-floor gate: the 250k-edge ``solve-250k`` shape.
+SOLVE_FLOOR_SHAPE = (2000, 5000, 50)
+#: Runs per pipeline; each keeps its fastest.
+SOLVE_FLOOR_RUNS = 2
+
+
+@dataclass
+class SolvePipelineRecord:
+    """Best-of-runs timing of one solve pipeline, file to verified cover."""
+
+    pipeline: str
+    edges: int
+    seconds: float
+    stage_ms: Dict[str, float]
+
+
+def _time_solve(path: Path, seed: int, load, make_stream):
+    """One CLI-equivalent ``solve``: (stage seconds, result)."""
+    marks = [time.perf_counter()]
+    instance = load(path)
+    instance.validate()
+    marks.append(time.perf_counter())
+    stream = make_stream(instance, make_order("random", seed=seed))
+    marks.append(time.perf_counter())
+    result = make_algorithm("kk", instance, seed=seed).run(stream)
+    marks.append(time.perf_counter())
+    result.verify(instance)
+    marks.append(time.perf_counter())
+    spans = (b - a for a, b in zip(marks, marks[1:]))
+    return dict(zip(("load", "stream_of", "kk", "verify"), spans)), result
+
+
+def run_solve_floor(
+    seed: int = 0,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Tuple[SolvePipelineRecord, SolvePipelineRecord, List[str]]:
+    """Time the columnar solve against the tuple reference in one process.
+
+    Both pipelines load the same generated file, order it with the same
+    seeded ``random`` order, run ``kk`` and verify the cover; the runs
+    alternate and each pipeline keeps its fastest.  Returns the two
+    records and the output mismatches between them (empty when covers,
+    certificates and space reports agree on every run).
+    """
+    n, m, set_size = SOLVE_FLOOR_SHAPE
+    pipelines = {
+        "columnar": (load_instance, stream_of),
+        "tuple-reference": (load_instance_reference, reference_stream_of),
+    }
+    best: Dict[str, Dict[str, float]] = {}
+    mismatches: List[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        dump_instance(fixed_size_instance(n, m, set_size, seed=seed), path)
+        for run in range(SOLVE_FLOOR_RUNS):
+            outputs = {}
+            for name, (load, make_stream) in pipelines.items():
+                gc.collect()
+                stages, result = _time_solve(path, seed + run, load, make_stream)
+                outputs[name] = result
+                if name not in best or sum(stages.values()) < sum(best[name].values()):
+                    best[name] = stages
+                if progress is not None:
+                    progress(f"  {name:<16} run {run}: {sum(stages.values()):.3f}s")
+            fast, ref = outputs["columnar"], outputs["tuple-reference"]
+            if (fast.cover, fast.certificate, fast.space) != (ref.cover, ref.certificate, ref.space):
+                mismatches.append(f"run {run} (seed {seed + run}): columnar output differs from the tuple reference")
+    records = tuple(
+        SolvePipelineRecord(
+            pipeline=name,
+            edges=m * set_size,
+            seconds=sum(stages.values()),
+            stage_ms={k: v * 1000.0 for k, v in stages.items()},
+        )
+        for name, stages in best.items()
+    )
+    return records[0], records[1], mismatches
+
+
+def check_solve_floor(
+    columnar: SolvePipelineRecord,
+    reference: SolvePipelineRecord,
+    mismatches: Sequence[str],
+    factor: float = 2.0,
+) -> List[str]:
+    """Fail unless the columnar solve is ``factor``x the reference, same output."""
+    failures = list(mismatches)
+    speedup = reference.seconds / columnar.seconds
+    if speedup < factor:
+        failures.append(
+            f"columnar solve at {columnar.edges:,} edges took "
+            f"{columnar.seconds:.3f}s against the tuple reference's "
+            f"{reference.seconds:.3f}s (x{speedup:.2f}, floor x{factor:.1f})"
+        )
     return failures
 
 

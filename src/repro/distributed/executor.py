@@ -70,6 +70,7 @@ from repro.obs.events import DEGRADATION, SPAN_MERGE
 from repro.obs.tracer import NULL_TRACER, TraceCollector
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import ArrivalOrder, CanonicalOrder
+from repro.streaming.stream import ordered_edges
 from repro.types import ElementId, SeedLike, SetId, make_rng
 
 _SEED_SPACE = 2**63
@@ -269,7 +270,7 @@ def build_shard_plan_and_tasks(
         raise ConfigurationError(f"need at least 1 worker, got {workers}")
     arrival = order if order is not None else CanonicalOrder()
     root_seed = seed if seed is not None else 0
-    edges = arrival.apply(list(instance.edges()))
+    edges = ordered_edges(instance, arrival)
     router = ShardRouter(strategy=strategy, workers=workers, seed=root_seed)
     plan = router.route_edges(instance, edges, order_name=arrival.name)
     shard_seeds, fault_seeds = _draw_shard_seeds(root_seed, workers)
@@ -482,7 +483,7 @@ def run_distributed(
 
     arrival = order if order is not None else CanonicalOrder()
     root_seed = seed if seed is not None else 0
-    edges = arrival.apply(list(instance.edges()))
+    edges = ordered_edges(instance, arrival)
     router = ShardRouter(strategy=strategy, workers=workers, seed=root_seed)
     shard_seeds, fault_seeds = _draw_shard_seeds(root_seed, workers)
     shape = InstanceShape.of(instance)

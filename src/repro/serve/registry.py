@@ -90,7 +90,7 @@ class InstanceRegistry:
                 "name", name, "instance name must be a non-empty string"
             )
         instance.validate()
-        edges = sum(1 for _ in instance.edges())
+        edges = instance.num_edges
         with self._lock:
             if name in self._entries:
                 raise InvalidParameterError(

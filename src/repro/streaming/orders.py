@@ -13,16 +13,22 @@ The paper contrasts three stream orders:
   the classical *set-arrival* model as a special case of edge arrival
   and is used for the Table-1 row-1 baseline.
 
-Every policy is a callable object mapping a list of edges (the canonical
-enumeration of :meth:`SetCoverInstance.edges`) to a reordered list, with
-an explicit seed where randomness is involved.
+Every policy computes an index permutation of an edge sequence given
+as numpy columns (the canonical enumeration of
+:meth:`SetCoverInstance.columns`), with an explicit seed where
+randomness is involved; :meth:`ArrivalOrder.apply` maps a list of
+``Edge`` tuples through that permutation.  The policies draw from
+their RNG exactly as the original tuple implementations did (kept in
+:mod:`repro.streaming.reference`), so a seed names the same order on
+both paths.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
+
+import numpy as np
 
 from repro.errors import InvalidStreamError
 from repro.types import Edge, SeedLike, make_rng
@@ -30,18 +36,50 @@ from repro.types import Edge, SeedLike, make_rng
 OrderFn = Callable[[Sequence[Edge]], List[Edge]]
 
 
+def _set_groups(set_ids: np.ndarray) -> Dict[int, List[int]]:
+    """Positions of each set's edges, keyed by set in first-appearance order.
+
+    Positions ascend within a group (they keep their input order): the
+    grouping the tuple orders built edge by edge with ``dict.setdefault``.
+    """
+    if not set_ids.size:
+        return {}
+    by_set = np.argsort(set_ids, kind="stable")
+    grouped = set_ids[by_set]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    bounds = np.append(starts, by_set.size).tolist()
+    positions = by_set.tolist()
+    ids = grouped[starts].tolist()
+    groups: Dict[int, List[int]] = {}
+    for g in np.argsort(by_set[starts], kind="stable").tolist():
+        groups[ids[g]] = positions[bounds[g] : bounds[g + 1]]
+    return groups
+
+
+def _as_positions(positions: Sequence[int]) -> np.ndarray:
+    return np.fromiter(positions, dtype=np.int64, count=len(positions))
+
+
 class ArrivalOrder:
     """Base class for arrival-order policies.
 
-    Subclasses implement :meth:`apply`.  Policies must return a
+    Subclasses implement :meth:`permutation`.  Policies must return a
     permutation of their input — :func:`check_permutation` is available
     for defensive subclasses and is exercised by the test suite.
     """
 
     name = "base"
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        """``int64[N]`` positions: stream edge ``i`` is input edge ``perm[i]``."""
         raise NotImplementedError
+
+    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+        """Reorder a sequence of edge tuples by :meth:`permutation`."""
+        edges = list(edges)
+        set_ids = np.fromiter((edge[0] for edge in edges), np.int64, len(edges))
+        elements = np.fromiter((edge[1] for edge in edges), np.int64, len(edges))
+        return [edges[i] for i in self.permutation(set_ids, elements).tolist()]
 
     def __call__(self, edges: Sequence[Edge]) -> List[Edge]:
         return self.apply(edges)
@@ -55,8 +93,8 @@ class CanonicalOrder(ArrivalOrder):
 
     name = "canonical"
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        return list(edges)
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        return np.arange(len(set_ids), dtype=np.int64)
 
 
 class RandomOrder(ArrivalOrder):
@@ -67,10 +105,12 @@ class RandomOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        shuffled = list(edges)
-        self._rng.shuffle(shuffled)
-        return shuffled
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        # random.shuffle's draws depend only on the list's length, so
+        # shuffling positions reproduces the shuffle of the edges.
+        positions = list(range(len(set_ids)))
+        self._rng.shuffle(positions)
+        return _as_positions(positions)
 
 
 class SetGroupedOrder(ArrivalOrder):
@@ -86,18 +126,16 @@ class SetGroupedOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
-        set_ids = list(groups)
-        self._rng.shuffle(set_ids)
-        out: List[Edge] = []
-        for set_id in set_ids:
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        groups = _set_groups(set_ids)
+        order = list(groups)
+        self._rng.shuffle(order)
+        out: List[int] = []
+        for set_id in order:
             group = groups[set_id]
             self._rng.shuffle(group)
             out.extend(group)
-        return out
+        return _as_positions(out)
 
 
 class RoundRobinInterleaveOrder(ArrivalOrder):
@@ -115,17 +153,15 @@ class RoundRobinInterleaveOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        groups = _set_groups(set_ids)
         queues = []
         for set_id in sorted(groups):
             group = groups[set_id]
             self._rng.shuffle(group)
             queues.append(group)
         self._rng.shuffle(queues)
-        out: List[Edge] = []
+        out: List[int] = []
         cursor = 0
         while queues:
             cursor %= len(queues)
@@ -135,7 +171,7 @@ class RoundRobinInterleaveOrder(ArrivalOrder):
                 cursor += 1
             else:
                 queues.pop(cursor)
-        return out
+        return _as_positions(out)
 
 
 class LargeSetsLastOrder(ArrivalOrder):
@@ -151,17 +187,14 @@ class LargeSetsLastOrder(ArrivalOrder):
     def __init__(self, seed: SeedLike = None) -> None:
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        groups: Dict[int, List[Edge]] = {}
-        for edge in edges:
-            groups.setdefault(edge.set_id, []).append(edge)
-        set_ids = sorted(groups, key=lambda s: (len(groups[s]), s))
-        out: List[Edge] = []
-        for set_id in set_ids:
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        groups = _set_groups(set_ids)
+        out: List[int] = []
+        for set_id in sorted(groups, key=lambda s: (len(groups[s]), s)):
             group = groups[set_id]
             self._rng.shuffle(group)
             out.extend(group)
-        return out
+        return _as_positions(out)
 
 
 class LocallyShuffledOrder(ArrivalOrder):
@@ -190,22 +223,23 @@ class LocallyShuffledOrder(ArrivalOrder):
         self.randomness = randomness
         self._rng = make_rng(seed)
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
         base = RoundRobinInterleaveOrder(
             seed=self._rng.getrandbits(63)
-        ).apply(edges)
+        ).permutation(set_ids, elements)
         if self.randomness <= 0.0 or len(base) <= 1:
             return base
         # Ceiling, not floor: flooring collapses small positive
         # ``randomness`` on short streams to window 1 — a no-op shuffle
         # that silently reports the adversarial base as "perturbed".
         window = max(1, math.ceil(self.randomness * len(base)))
-        out: List[Edge] = []
-        for start in range(0, len(base), window):
-            chunk = base[start : start + window]
+        positions = base.tolist()
+        out: List[int] = []
+        for start in range(0, len(positions), window):
+            chunk = positions[start : start + window]
             self._rng.shuffle(chunk)
             out.extend(chunk)
-        return out
+        return _as_positions(out)
 
 
 class ExplicitOrder(ArrivalOrder):
@@ -224,13 +258,13 @@ class ExplicitOrder(ArrivalOrder):
                 "explicit order must be a permutation of range(len(edges))"
             )
 
-    def apply(self, edges: Sequence[Edge]) -> List[Edge]:
-        if len(edges) != len(self._positions):
+    def permutation(self, set_ids: np.ndarray, elements: np.ndarray) -> np.ndarray:
+        if len(set_ids) != len(self._positions):
             raise InvalidStreamError(
                 f"explicit order of length {len(self._positions)} applied to "
-                f"{len(edges)} edges"
+                f"{len(set_ids)} edges"
             )
-        return [edges[i] for i in self._positions]
+        return _as_positions(self._positions)
 
 
 #: Registry of order constructors by public name, for the CLI/experiments.

@@ -6,11 +6,14 @@ be iterated again (algorithms that accidentally take two passes fail
 loudly in tests instead of silently cheating).
 
 The ordered edge sequence is frozen once into a :class:`FrozenEdges`
-buffer — an immutable tuple plus a lazily-built numpy ``(N,)`` column
-pair — and *shared* across every view of the ordering: creating a fresh
-one-pass view is O(1), and batch consumers (see :meth:`EdgeStream.iter_chunks`
-and :class:`StreamReader`) slice the shared buffer instead of stepping a
-generator one edge at a time.
+buffer — a pair of numpy ``(N,)`` columns plus a lazily-built tuple of
+:class:`~repro.types.Edge` for scalar consumers — and *shared* across
+every view of the ordering: creating a fresh one-pass view is O(1), and
+batch consumers (see :meth:`EdgeStream.iter_chunks` and
+:class:`StreamReader`) slice the shared buffer instead of stepping a
+generator one edge at a time.  :func:`stream_of` builds the columns
+without any edge object: the instance's CSR columns gathered through
+the arrival order's permutation.
 
 Use :func:`stream_of` for the common case, or :class:`ReplayableStream`
 in experiment harnesses where several algorithms must see the *same*
@@ -19,13 +22,15 @@ ordered stream.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import InvalidStreamError, StreamExhaustedError
-from repro.streaming.instance import SetCoverInstance
+from repro.streaming.instance import SetCoverInstance, shared_int_lists
 from repro.streaming.orders import ArrivalOrder, CanonicalOrder
 from repro.types import Edge
 
@@ -35,62 +40,94 @@ EdgesLike = Union["FrozenEdges", Sequence[Edge]]
 class FrozenEdges:
     """An immutable edge ordering shared by every view of a stream.
 
-    Holds the edges as a tuple (the canonical Python representation) and
-    builds, on first request, a pair of numpy ``int64`` columns
-    ``(set_ids, elements)`` for vectorized batch processing.  Both
-    representations are built at most once and shared — wrapping an
-    existing :class:`FrozenEdges` or passing the same instance to many
-    streams never copies.
+    Holds the edges as a pair of numpy ``int64`` columns
+    ``(set_ids, elements)`` for vectorized batch processing, and builds,
+    on first request, the tuple of :class:`~repro.types.Edge` that
+    scalar consumers iterate.  Both representations are built at most
+    once and shared — wrapping an existing :class:`FrozenEdges` or
+    passing the same instance to many streams never copies.
     """
 
-    __slots__ = ("_edges", "_set_ids", "_elements")
+    __slots__ = ("_set_ids", "_elements", "_edges")
 
     def __init__(self, edges: EdgesLike) -> None:
         if isinstance(edges, FrozenEdges):
-            self._edges = edges._edges
             self._set_ids = edges._set_ids
             self._elements = edges._elements
+            self._edges = edges._edges
             return
-        self._edges: Tuple[Edge, ...] = (
+        self._edges: Optional[Tuple[Edge, ...]] = (
             edges if isinstance(edges, tuple) else tuple(edges)
         )
-        self._set_ids: Optional[np.ndarray] = None
-        self._elements: Optional[np.ndarray] = None
+        flat = np.fromiter(
+            chain.from_iterable(self._edges),
+            dtype=np.int64,
+            count=2 * len(self._edges),
+        )
+        self._set_ids = flat[0::2].copy()
+        self._elements = flat[1::2].copy()
+
+    @classmethod
+    def from_columns(cls, set_ids: np.ndarray, elements: np.ndarray) -> "FrozenEdges":
+        """Adopt ``(set_ids, elements)`` columns; the tuple view stays lazy."""
+        frozen = cls.__new__(cls)
+        frozen._set_ids = set_ids
+        frozen._elements = elements
+        frozen._edges = None
+        return frozen
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """The full ordered edge tuple (shared, never copied)."""
+        """The full ordered edge tuple (built once, then shared)."""
+        if self._edges is None:
+            self._edges = _edge_tuple(self._set_ids, self._elements)
         return self._edges
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._set_ids)
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self._edges)
+        return iter(self.edges)
 
     def __getitem__(self, index):
-        return self._edges[index]
+        return self.edges[index]
 
     def columns(self) -> Tuple[np.ndarray, np.ndarray]:
         """Numpy ``(set_ids, elements)`` columns of the ordering.
 
-        Built once on first call (O(N)), then shared by every stream
-        view; slices of the returned arrays are numpy views, so chunked
-        consumers never copy edge data.
+        Shared by every stream view; slices of the returned arrays are
+        numpy views, so chunked consumers never copy edge data.
         """
-        if self._set_ids is None:
-            n = len(self._edges)
-            flat = np.fromiter(
-                (value for edge in self._edges for value in edge),
-                dtype=np.int64,
-                count=2 * n,
-            )
-            pairs = flat.reshape(n, 2) if n else flat.reshape(0, 2)
-            # Assign _elements before _set_ids: concurrent callers gate on
-            # _set_ids, so both columns must be ready once it is visible.
-            self._elements = np.ascontiguousarray(pairs[:, 1])
-            self._set_ids = np.ascontiguousarray(pairs[:, 0])
         return self._set_ids, self._elements
+
+
+def _edge_tuple(set_ids: np.ndarray, elements: np.ndarray) -> Tuple[Edge, ...]:
+    """The ``Edge`` tuples of two columns.
+
+    The cyclic collector is paused while the (acyclic) tuples are
+    allocated: otherwise each full collection that the allocations
+    trigger re-scans every edge built so far, which is most of the cost.
+    """
+    set_list, element_list = shared_int_lists(set_ids, elements)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(map(tuple.__new__, repeat(Edge), zip(set_list, element_list)))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def ordered_edges(instance: SetCoverInstance, order: ArrivalOrder) -> FrozenEdges:
+    """``instance``'s edges under ``order``: CSR columns, permuted.
+
+    The canonical columns come straight from the instance's CSR arrays
+    and are gathered through :meth:`ArrivalOrder.permutation`; no edge
+    object is built.
+    """
+    set_ids, elements = instance.columns()
+    positions = order.permutation(set_ids, elements)
+    return FrozenEdges.from_columns(set_ids[positions], elements[positions])
 
 
 @dataclass(frozen=True)
@@ -407,8 +444,8 @@ class ReplayableStream:
 
     Freezes one ordered edge sequence so that multiple algorithms can be
     compared on the *identical* stream, each receiving its own one-pass
-    view.  The frozen buffer (tuple and numpy columns alike) is shared
-    by every view: :meth:`fresh` is O(1) and never copies edges.
+    view.  The frozen buffer (numpy columns and tuple view alike) is
+    shared by every view: :meth:`fresh` is O(1) and never copies edges.
     """
 
     def __init__(
@@ -419,11 +456,7 @@ class ReplayableStream:
         self.instance = instance
         order = order if order is not None else CanonicalOrder()
         self.order_name = order.name
-        self._frozen = FrozenEdges(order.apply(list(instance.edges())))
-        # Column materialization is stream *preparation*, like applying
-        # the arrival order above — pay it at freeze time so the first
-        # vectorized consumer's measured pass is not billed for it.
-        self._frozen.columns()
+        self._frozen = ordered_edges(instance, order)
 
     @property
     def length(self) -> int:
@@ -455,8 +488,9 @@ def stream_of(
     enumeration is streamed.
     """
     order = order if order is not None else CanonicalOrder()
-    edges = order.apply(list(instance.edges()))
-    return EdgeStream(instance, edges, order_name=order.name)
+    return EdgeStream(
+        instance, ordered_edges(instance, order), order_name=order.name
+    )
 
 
 def concat_streams(first: EdgeStream, second: EdgeStream) -> EdgeStream:
@@ -469,9 +503,13 @@ def concat_streams(first: EdgeStream, second: EdgeStream) -> EdgeStream:
     """
     if first.consumed or second.consumed:
         raise StreamExhaustedError("cannot concatenate consumed streams")
-    edges = tuple(first.peek_all()) + tuple(second.peek_all())
+    first_sets, first_elements = first._frozen.columns()
+    second_sets, second_elements = second._frozen.columns()
     return EdgeStream(
         first.instance,
-        edges,
+        FrozenEdges.from_columns(
+            np.concatenate((first_sets, second_sets)),
+            np.concatenate((first_elements, second_elements)),
+        ),
         order_name=f"{first.order_name}+{second.order_name}",
     )

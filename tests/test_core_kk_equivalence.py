@@ -186,3 +186,71 @@ class TestPropertyEquivalence:
             instance, RandomOrder(seed=order_seed), seed
         )
         _assert_identical(fast, ref)
+
+
+class TestColumnarPipeline:
+    """``stream_of`` (CSR → permutation → gather) against the tuple pipeline.
+
+    Both sides run the same vectorized ``kk`` on one instance and one
+    seeded order; only stream preparation differs, so every output byte
+    must agree.
+    """
+
+    @staticmethod
+    def _solve(instance, stream, seed):
+        tracer = RecordingTracer()
+        algorithm = KKAlgorithm(seed=seed)
+        algorithm.set_tracer(tracer)
+        result = algorithm.run(stream)
+        tracer.finish()
+        result.verify(instance)
+        return result, tracer.to_jsonl()
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "make_instance",
+        [
+            lambda seed: fixed_size_instance(150, 500, set_size=9, seed=seed),
+            lambda seed: planted_partition_instance(90, 200, opt_size=7, seed=seed).instance,
+        ],
+    )
+    @pytest.mark.parametrize("order_name", ["random", "round-robin", "set-grouped", "canonical"])
+    def test_matches_tuple_pipeline(self, make_instance, seed, order_name):
+        from repro.streaming.orders import make_order
+        from repro.streaming.reference import reference_stream_of
+        from repro.streaming.stream import stream_of
+
+        instance = make_instance(seed)
+        fast, fast_trace = self._solve(
+            instance, stream_of(instance, make_order(order_name, seed=seed + 3)), seed
+        )
+        ref, ref_trace = self._solve(
+            instance,
+            reference_stream_of(instance, make_order(order_name, seed=seed + 3)),
+            seed,
+        )
+        _assert_identical(fast, ref)
+        assert fast_trace == ref_trace
+        assert len(fast_trace) > 0
+
+    def test_loaded_instance_matches_reference_loader(self, tmp_path):
+        from repro.streaming.io import dump_instance, load_instance
+        from repro.streaming.reference import (
+            load_instance_reference,
+            reference_stream_of,
+        )
+
+        path = tmp_path / "instance.txt"
+        dump_instance(fixed_size_instance(200, 400, set_size=8, seed=4), path)
+        fast_instance = load_instance(path)
+        ref_instance = load_instance_reference(path)
+        assert fast_instance == ref_instance
+        assert fast_instance.name == ref_instance.name
+        fast, fast_trace = self._solve(
+            fast_instance, ReplayableStream(fast_instance, RandomOrder(seed=2)).fresh(), 2
+        )
+        ref, ref_trace = self._solve(
+            ref_instance, reference_stream_of(ref_instance, RandomOrder(seed=2)), 2
+        )
+        _assert_identical(fast, ref)
+        assert fast_trace == ref_trace

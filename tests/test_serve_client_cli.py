@@ -231,3 +231,10 @@ class TestClientCLI:
         captured = capsys.readouterr()
         assert code == 1
         assert "cannot connect" in captured.err
+
+
+class TestRegistryEdges:
+    def test_edges_field_is_num_edges(self):
+        instance = make_instance(seed=7)
+        entry = InstanceRegistry().load_instance("demo", instance)
+        assert entry.edges == instance.num_edges == len(list(instance.edges()))

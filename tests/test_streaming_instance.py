@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     InfeasibleInstanceError,
@@ -198,3 +200,83 @@ class TestInstanceFromEdges:
     def test_duplicate_edges_collapse(self):
         instance = instance_from_edges(2, 1, [(0, 0), (0, 0), (0, 1)])
         assert instance.num_edges == 2
+
+
+class TestCSR:
+    def test_layout(self):
+        instance = SetCoverInstance(6, [[5, 1, 1, 3], [], [0], {2, 4}])
+        assert instance.indptr.tolist() == [0, 3, 3, 4, 6]
+        assert instance.indices.tolist() == [1, 3, 5, 0, 2, 4]
+        assert instance.num_edges == 6
+
+    def test_arrays_are_read_only(self, tiny_instance):
+        with pytest.raises(ValueError):
+            tiny_instance.indices[0] = 3
+        with pytest.raises(ValueError):
+            tiny_instance.indptr[0] = 1
+
+    def test_columns_are_the_canonical_enumeration(self, chain_instance):
+        set_ids, elements = chain_instance.columns()
+        assert list(zip(set_ids.tolist(), elements.tolist())) == [
+            tuple(edge) for edge in chain_instance.edges()
+        ]
+
+    def test_set_members_cached(self, tiny_instance):
+        assert tiny_instance.set_members(1) is tiny_instance.set_members(1)
+
+    def test_negative_set_id_indexes_from_the_end(self, tiny_instance):
+        assert tiny_instance.set_members(-1) == frozenset({2, 3})
+
+    def test_from_csr_round_trip(self, chain_instance):
+        copy = SetCoverInstance.from_csr(
+            chain_instance.n, chain_instance.indptr, chain_instance.indices
+        )
+        assert copy == chain_instance
+        assert hash(copy) == hash(chain_instance)
+
+    def test_generator_sets_accepted(self):
+        instance = SetCoverInstance(4, (iter(range(k)) for k in (1, 4, 2)))
+        assert instance.sets() == (frozenset({0}), frozenset(range(4)), frozenset({0, 1}))
+
+    def test_out_of_range_names_set_and_element(self):
+        with pytest.raises(InvalidInstanceError, match="set 1 contains element 7"):
+            SetCoverInstance(5, [{0}, {7}])
+
+    def test_huge_element_rejected(self):
+        with pytest.raises(InvalidInstanceError, match="outside universe"):
+            SetCoverInstance(5, [{0}, {2**70}])
+
+
+class TestVectorizedAgainstSets:
+    """The CSR-backed queries against the same queries on plain sets."""
+
+    @staticmethod
+    def _instance_and_sets(n, sets):
+        return SetCoverInstance(n, sets), [frozenset(s) for s in sets]
+
+    @given(
+        n=st.integers(1, 12),
+        raw=st.lists(st.lists(st.integers(0, 11), max_size=8), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_queries(self, n, raw):
+        sets = [[u % n for u in members] for members in raw]
+        instance, frozen = self._instance_and_sets(n, sets)
+        assert instance.sets() == tuple(frozen)
+        assert instance.num_edges == sum(len(s) for s in frozen)
+        assert list(instance.element_degrees()) == [
+            sum(u in s for s in frozen) for u in range(n)
+        ]
+        for u in range(n):
+            assert instance.covering_sets(u) == frozenset(
+                i for i, s in enumerate(frozen) if u in s
+            )
+        assert list(instance.edges()) == [
+            Edge(i, u) for i, s in enumerate(frozen) for u in sorted(s)
+        ]
+        missing = [u for u in range(n) if not any(u in s for s in frozen)]
+        if missing:
+            with pytest.raises(InfeasibleInstanceError, match=f"{len(missing)} element"):
+                instance.validate()
+        else:
+            instance.validate()

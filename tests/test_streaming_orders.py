@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidStreamError
+from repro.generators.planted import planted_partition_instance
+from repro.generators.random_instances import fixed_size_instance
+from repro.generators.zipf import zipf_instance
 from repro.streaming.instance import SetCoverInstance
 from repro.streaming.orders import (
     ORDER_REGISTRY,
     CanonicalOrder,
     ExplicitOrder,
     LargeSetsLastOrder,
+    LocallyShuffledOrder,
     RandomOrder,
     RoundRobinInterleaveOrder,
     SetGroupedOrder,
     check_permutation,
     make_order,
 )
+from repro.streaming.reference import reference_apply, reference_edges
+from repro.streaming.stream import ordered_edges
 from repro.types import Edge
 
 
@@ -186,3 +193,69 @@ class TestCheckPermutation:
         tampered[1] = tampered[0]
         with pytest.raises(InvalidStreamError):
             check_permutation(edges, tampered)
+
+
+# -- permutation path against the tuple reference -------------------------
+
+GRID_INSTANCES = {
+    "tiny": lambda: SetCoverInstance(4, [{0, 1}, {1, 2}, {2, 3}]),
+    "empty-sets": lambda: SetCoverInstance(5, [set(), {0, 4}, set(), {1, 2, 3}, {2}]),
+    "fixed": lambda: fixed_size_instance(60, 150, 7, seed=3),
+    "planted": lambda: planted_partition_instance(70, 90, opt_size=6, seed=1).instance,
+    "zipf": lambda: zipf_instance(50, 80, seed=2),
+}
+
+
+def _order_factories(num_edges):
+    factories = {
+        name: (lambda seed, name=name: make_order(name, seed=seed))
+        for name in ORDER_REGISTRY
+    }
+    for randomness in (0.0, 0.05, 0.5, 1.0):
+        factories[f"locally-shuffled-{randomness}"] = (
+            lambda seed, r=randomness: LocallyShuffledOrder(r, seed=seed)
+        )
+    positions = list(range(num_edges))
+    factories["explicit"] = lambda seed: ExplicitOrder(
+        positions[seed % 3 :] + positions[: seed % 3]
+    )
+    return factories
+
+
+class TestPermutationMatchesTupleReference:
+    @pytest.mark.parametrize("instance_name", sorted(GRID_INSTANCES))
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_every_order(self, instance_name, seed):
+        instance = GRID_INSTANCES[instance_name]()
+        canonical = reference_edges(instance)
+        assert list(instance.edges()) == canonical
+        for label, factory in _order_factories(len(canonical)).items():
+            expected = reference_apply(factory(seed), canonical)
+            frozen = ordered_edges(instance, factory(seed))
+            assert list(frozen.edges) == expected, label
+            set_ids, elements = frozen.columns()
+            assert set_ids.tolist() == [e.set_id for e in expected], label
+            assert elements.tolist() == [e.element for e in expected], label
+            assert factory(seed).apply(canonical) == expected, label
+
+    @pytest.mark.parametrize("order_cls", ALL_SEEDED_ORDERS)
+    def test_arbitrary_input_order(self, order_cls):
+        # apply() groups by first appearance, as the tuple orders did,
+        # whatever the input's order.
+        instance = fixed_size_instance(30, 40, 5, seed=8)
+        edges = RandomOrder(seed=3).apply(list(instance.edges()))
+        assert order_cls(seed=4).apply(edges) == reference_apply(order_cls(seed=4), edges)
+
+    def test_rng_state_carries_over_like_the_tuple_path(self):
+        # A reused order continues from the same RNG state on both paths.
+        instance = fixed_size_instance(20, 30, 4, seed=1)
+        canonical = reference_edges(instance)
+        fast, ref = RandomOrder(seed=9), RandomOrder(seed=9)
+        for _ in range(3):
+            assert list(ordered_edges(instance, fast)) == reference_apply(ref, canonical)
+
+    def test_empty_input(self):
+        for name in ORDER_REGISTRY:
+            empty = np.empty(0, dtype=np.int64)
+            assert make_order(name, seed=0).permutation(empty, empty).size == 0
+            assert make_order(name, seed=0).apply([]) == []
